@@ -261,16 +261,18 @@ where
     let (report_tx, report_rx) = mpsc::channel::<Report<P::State>>();
 
     // Workers block only on their own event receiver, and the conductor
-    // terminates every exit path with `Collect`/`Abort` (and drops the
-    // event senders on return), so this scope always joins — no leaked
-    // threads, on success, protocol error, or watchdog trip alike.
+    // terminates every exit path with `Collect`/`Abort`, so every worker
+    // returns. Each is joined by hand: the scope alone waits for the
+    // worker closures, not for their OS threads to exit, so a caller
+    // could still count exiting workers after the run returned.
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(shards);
         for (s, rx) in event_rxs.into_iter().enumerate() {
             let worker = Worker::new(&ctx, s as u32, rx, event_txs.clone(), report_tx.clone());
-            scope.spawn(move || worker.run());
+            workers.push(scope.spawn(move || worker.run()));
         }
         drop(report_tx);
-        let mut conductor = Conductor {
+        let result = Conductor {
             shards,
             event_txs,
             report_rx,
@@ -280,8 +282,13 @@ where
                 crashes_planned,
                 ..FaultReport::default()
             },
-        };
-        conductor.drive(n)
+        }
+        .drive(n);
+        for w in workers {
+            w.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        result
     })
 }
 

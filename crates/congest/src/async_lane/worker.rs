@@ -7,8 +7,8 @@
 //! further blocking, and outgoing traffic is batched per peer and flushed
 //! after each event. That single-blocking-point shape is what makes the
 //! teardown argument a one-liner: any worker, in any state, exits on an
-//! `Abort`/`Collect` event or a closed channel, so the surrounding
-//! `std::thread::scope` always joins.
+//! `Abort`/`Collect` event or a closed channel, so the run always joins
+//! its workers.
 //!
 //! # α-synchronizer
 //!

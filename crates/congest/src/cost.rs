@@ -128,12 +128,6 @@ impl RoundLedger {
         self.max_message_bits = self.max_message_bits.max(bits_each);
     }
 
-    /// Appends another ledger sequentially (rounds add).
-    pub fn merge_sequential(&mut self, other: &RoundLedger) {
-        self.rounds += other.rounds;
-        self.absorb_traffic(other);
-    }
-
     /// Adds another ledger's message traffic without touching rounds.
     ///
     /// This is the charging primitive of the engine's sharded stepping
@@ -220,21 +214,6 @@ mod tests {
     #[test]
     fn local_fits_everything() {
         assert!(CostModel::local().fits(1 << 30));
-    }
-
-    #[test]
-    fn sequential_merge_adds_rounds() {
-        let mut a = RoundLedger::new();
-        a.charge_rounds(3);
-        a.record_messages(5, 8);
-        let mut b = RoundLedger::new();
-        b.charge_rounds(4);
-        b.record_messages(2, 16);
-        a.merge_sequential(&b);
-        assert_eq!(a.rounds(), 7);
-        assert_eq!(a.messages(), 7);
-        assert_eq!(a.total_bits(), 5 * 8 + 2 * 16);
-        assert_eq!(a.max_message_bits(), 16);
     }
 
     #[test]

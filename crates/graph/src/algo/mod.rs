@@ -5,7 +5,6 @@
 
 mod bfs;
 mod components;
-mod delta_stepping;
 mod dfs;
 mod distance;
 mod hyperball;
@@ -18,10 +17,6 @@ mod workspace;
 
 pub use bfs::{bfs, bfs_bounded, BfsResult, UNREACHED};
 pub use components::{component_of, connected_components, is_connected, Components};
-pub use delta_stepping::{
-    auto_delta, delta_stepping, delta_stepping_bounded_in, delta_stepping_in, delta_stepping_to_in,
-    DeltaSteppingOracle, DELTA_SPREAD_LIMIT,
-};
 pub use dfs::{children_csr, dfs_order_of_tree, TreeOrder};
 pub use distance::{
     diameter_exact, diameter_exact_in, diameter_two_sweep, diameter_two_sweep_in,
@@ -34,14 +29,11 @@ pub use msbfs::{
     MS_LANES,
 };
 pub use oracle::{
-    oracle_for, DistanceMap, DistanceMapIn, DistanceOracle, HopOracle, MetricOracle,
-    WeightedOracle, ORACLE_UNREACHED,
+    oracle_for, DistanceMapIn, DistanceOracle, HopOracle, MetricOracle, WeightedOracle,
+    ORACLE_UNREACHED,
 };
-pub use power::{graph_power, power_graph};
-pub use weighted::{
-    bellman_ford, dijkstra, dijkstra_bounded, weighted_diameter_exact, weighted_eccentricity,
-    weighted_pairwise_distances, DijkstraResult, W_UNREACHED,
-};
+pub use power::power_graph;
+pub use weighted::{bellman_ford, dijkstra, dijkstra_bounded, DijkstraResult, W_UNREACHED};
 pub use workspace::{
     bfs_bounded_in, bfs_in, bfs_to_in, dijkstra_bounded_in, dijkstra_in, dijkstra_to_in, BfsRun,
     HopParts, SpParts, SpRun, TraversalWorkspace, MAX_HOP_DIST,

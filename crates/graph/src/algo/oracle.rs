@@ -1,98 +1,35 @@
-//! Distance oracles: one interface over hop-count BFS, weighted
-//! Dijkstra, and bucketed Δ-stepping.
+//! Distance oracles: one interface over hop-count BFS and weighted
+//! Dijkstra.
 //!
 //! The carving pipeline and the validators only ever ask one question of
 //! a graph metric — "distances from this node, within this view" — so
 //! they take it from a [`DistanceOracle`] instead of calling a concrete
 //! traversal. [`HopOracle`] answers with BFS hop counts (the paper's
 //! CONGEST metric, and the fast path for unweighted graphs);
-//! [`WeightedOracle`] answers with Dijkstra over the edge weights;
-//! [`DeltaSteppingOracle`](super::DeltaSteppingOracle) answers the same
-//! weighted metric with distance buckets instead of a heap.
+//! [`WeightedOracle`] answers with Dijkstra over the edge weights.
 //! [`oracle_for`] picks the matching metric for a graph, which is how
 //! the stack stays weight-generic with unweighted inputs bit-identical
 //! to the pre-oracle code: hop distances are integers, exactly
 //! representable as `f64`, and the hop oracle runs the very same BFS.
-//! For weighted graphs it prefers Δ-stepping when the weight spread
-//! permits ([`auto_delta`](super::auto_delta)); the Δ-stepping backend
-//! is distance-identical to Dijkstra, so the choice only moves wall
-//! clock, never output.
+//! Every answer lands in a caller-held [`TraversalWorkspace`] and is read
+//! through a borrowed [`DistanceMapIn`], so a sweep allocates nothing.
 
-use crate::algo::delta_stepping::DeltaSteppingOracle;
 use crate::algo::{
-    bfs, bfs_in, bfs_to_in, dijkstra, dijkstra_in, dijkstra_to_in, msbfs_in, msbfs_to_in, BfsRun,
-    MsBfsRun, SpRun, TraversalWorkspace, UNREACHED,
+    bfs_in, bfs_to_in, dijkstra_in, dijkstra_to_in, msbfs_in, msbfs_to_in, BfsRun, MsBfsRun, SpRun,
+    TraversalWorkspace, UNREACHED,
 };
 use crate::{Adjacency, Graph, NodeId, NodeSet};
 
 /// Distance value for unreached nodes, shared by both metrics.
 pub const ORACLE_UNREACHED: f64 = f64::INFINITY;
 
-/// Per-node distances from a single source, in some metric.
+/// Per-node distances from a single source, borrowed from a
+/// [`TraversalWorkspace`] run and produced by
+/// [`DistanceOracle::distances_in`].
 ///
 /// Hop distances are integers embedded in `f64` (exact up to `2^53`), so
 /// comparisons against integer bounds behave identically to the `u32`
 /// BFS API.
-#[derive(Debug, Clone)]
-pub struct DistanceMap {
-    dist: Vec<f64>,
-    order: Vec<NodeId>,
-}
-
-impl DistanceMap {
-    /// Assembles a map from a raw distance vector and the reached nodes
-    /// sorted by non-decreasing distance.
-    pub(crate) fn new(dist: Vec<f64>, order: Vec<NodeId>) -> Self {
-        debug_assert!(order
-            .windows(2)
-            .all(|w| dist[w[0].index()] <= dist[w[1].index()]));
-        DistanceMap { dist, order }
-    }
-
-    /// Distance to `v`, or [`ORACLE_UNREACHED`].
-    #[inline]
-    pub fn dist(&self, v: NodeId) -> f64 {
-        self.dist[v.index()]
-    }
-
-    /// Whether `v` was reached.
-    #[inline]
-    pub fn reached(&self, v: NodeId) -> bool {
-        self.dist[v.index()] != ORACLE_UNREACHED
-    }
-
-    /// The reached nodes in non-decreasing distance order.
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
-    }
-
-    /// Number of reached nodes.
-    pub fn reached_count(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Largest distance reached (`None` if nothing was reached).
-    pub fn eccentricity(&self) -> Option<f64> {
-        self.order.last().map(|&v| self.dist(v))
-    }
-
-    /// Reached nodes with distance at most `r`, in visit order.
-    pub fn ball(&self, r: f64) -> impl Iterator<Item = NodeId> + '_ {
-        self.order
-            .iter()
-            .copied()
-            .take_while(move |&v| self.dist(v) <= r)
-    }
-
-    /// Number of reached nodes with distance at most `r`.
-    pub fn ball_count(&self, r: f64) -> usize {
-        self.order.partition_point(|&v| self.dist(v) <= r)
-    }
-}
-
-/// Borrowed distance map over a [`TraversalWorkspace`] run: the
-/// allocation-free counterpart of [`DistanceMap`], produced by
-/// [`DistanceOracle::distances_in`].
 #[derive(Clone, Copy)]
 pub enum DistanceMapIn<'w> {
     /// Backed by a hop BFS run.
@@ -154,11 +91,8 @@ impl DistanceMapIn<'_> {
 /// A single-source distance computation over a view, in a fixed metric.
 pub trait DistanceOracle {
     /// Distances from `source` within `view` (unreached nodes carry
-    /// [`ORACLE_UNREACHED`]).
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap;
-
-    /// [`distances`](Self::distances) into a caller-held workspace: no
-    /// per-call allocation, value-identical distances.
+    /// [`ORACLE_UNREACHED`]), computed in a caller-held workspace with no
+    /// per-call allocation.
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -183,9 +117,9 @@ pub trait DistanceOracle {
     /// MS-BFS pass, lane `l` seeded from `sources[l]`.
     ///
     /// Returns `None` when the metric has no batched backend — the
-    /// weighted and Δ-stepping oracles order their relaxations by `f64`
-    /// distance, which does not decompose into shared lane-word levels,
-    /// so weighted consumers fall back to per-source sweeps. Callers
+    /// weighted oracle orders its relaxations by `f64` distance, which
+    /// does not decompose into shared lane-word levels, so weighted
+    /// consumers fall back to per-source sweeps. Callers
     /// must treat `None` as "run [`distances_in`](Self::distances_in)
     /// per source", which is value-identical.
     fn batch_distances_in<'w, A: Adjacency>(
@@ -212,12 +146,6 @@ pub trait DistanceOracle {
     ) -> Option<MsBfsRun<'w>> {
         None
     }
-
-    /// Whether this oracle measures edge weights (as opposed to hops).
-    fn is_weighted_metric(&self) -> bool;
-
-    /// Short metric name for diagnostics (`"hop"` / `"weighted"`).
-    fn name(&self) -> &'static str;
 }
 
 /// Hop-count metric: BFS layers, every edge length 1.
@@ -225,21 +153,6 @@ pub trait DistanceOracle {
 pub struct HopOracle;
 
 impl DistanceOracle for HopOracle {
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap {
-        let r = bfs(view, [source]);
-        let dist = (0..view.universe())
-            .map(|i| {
-                let d = r.dist(NodeId::new(i));
-                if d == crate::algo::UNREACHED {
-                    ORACLE_UNREACHED
-                } else {
-                    d as f64
-                }
-            })
-            .collect();
-        DistanceMap::new(dist, r.order().to_vec())
-    }
-
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -277,14 +190,6 @@ impl DistanceOracle for HopOracle {
     ) -> Option<MsBfsRun<'w>> {
         Some(msbfs_to_in(ws, view, sources, targets))
     }
-
-    fn is_weighted_metric(&self) -> bool {
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        "hop"
-    }
 }
 
 /// Weighted metric: Dijkstra over the base graph's edge weights.
@@ -292,14 +197,6 @@ impl DistanceOracle for HopOracle {
 pub struct WeightedOracle;
 
 impl DistanceOracle for WeightedOracle {
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap {
-        let r = dijkstra(view, [source]);
-        let dist = (0..view.universe())
-            .map(|i| r.dist(NodeId::new(i)))
-            .collect();
-        DistanceMap::new(dist, r.order().to_vec())
-    }
-
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -318,43 +215,19 @@ impl DistanceOracle for WeightedOracle {
     ) -> DistanceMapIn<'w> {
         DistanceMapIn::Weighted(dijkstra_to_in(ws, view, [source], targets))
     }
-
-    fn is_weighted_metric(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted"
-    }
 }
 
-/// The metric matching a graph: a weighted backend (Δ-stepping or
-/// Dijkstra — distance-identical, see
-/// [`delta_stepping`](super::delta_stepping)) for weighted graphs,
+/// The metric matching a graph: [`WeightedOracle`] for weighted graphs,
 /// [`HopOracle`] otherwise.
-///
-/// Not `Eq`: the Δ-stepping variant carries its `f64` bucket width.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricOracle {
     /// Hop counts (unweighted graphs).
     Hop(HopOracle),
-    /// Edge weights via Dijkstra (weighted graphs, unbounded spread).
+    /// Edge weights via Dijkstra (weighted graphs).
     Weighted(WeightedOracle),
-    /// Edge weights via bucketed Δ-stepping (weighted graphs with
-    /// bounded weight spread). Same distances as
-    /// [`MetricOracle::Weighted`], different engine.
-    Delta(DeltaSteppingOracle),
 }
 
 impl DistanceOracle for MetricOracle {
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap {
-        match self {
-            MetricOracle::Hop(o) => o.distances(view, source),
-            MetricOracle::Weighted(o) => o.distances(view, source),
-            MetricOracle::Delta(o) => o.distances(view, source),
-        }
-    }
-
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -364,7 +237,6 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.distances_in(view, source, ws),
             MetricOracle::Weighted(o) => o.distances_in(view, source, ws),
-            MetricOracle::Delta(o) => o.distances_in(view, source, ws),
         }
     }
 
@@ -378,7 +250,6 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.distances_to_in(view, source, targets, ws),
             MetricOracle::Weighted(o) => o.distances_to_in(view, source, targets, ws),
-            MetricOracle::Delta(o) => o.distances_to_in(view, source, targets, ws),
         }
     }
 
@@ -391,7 +262,6 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.batch_distances_in(view, sources, ws),
             MetricOracle::Weighted(o) => o.batch_distances_in(view, sources, ws),
-            MetricOracle::Delta(o) => o.batch_distances_in(view, sources, ws),
         }
     }
 
@@ -405,47 +275,31 @@ impl DistanceOracle for MetricOracle {
         match self {
             MetricOracle::Hop(o) => o.batch_distances_to_in(view, sources, targets, ws),
             MetricOracle::Weighted(o) => o.batch_distances_to_in(view, sources, targets, ws),
-            MetricOracle::Delta(o) => o.batch_distances_to_in(view, sources, targets, ws),
-        }
-    }
-
-    fn is_weighted_metric(&self) -> bool {
-        !matches!(self, MetricOracle::Hop(_))
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            MetricOracle::Hop(o) => o.name(),
-            MetricOracle::Weighted(o) => o.name(),
-            MetricOracle::Delta(o) => o.name(),
         }
     }
 }
 
 /// Picks the natural metric for `g`: the hop metric for unweighted
-/// graphs; for weighted graphs, bucketed Δ-stepping when the weight
-/// spread permits ([`super::auto_delta`]), falling back to Dijkstra
-/// otherwise. Both weighted backends produce bit-identical distances,
-/// so the selection never changes pipeline output.
+/// graphs, Dijkstra over the edge weights for weighted ones.
 pub fn oracle_for(g: &Graph) -> MetricOracle {
-    if !g.is_weighted() {
-        MetricOracle::Hop(HopOracle)
-    } else if let Some(o) = DeltaSteppingOracle::for_graph(g) {
-        MetricOracle::Delta(o)
-    } else {
+    if g.is_weighted() {
         MetricOracle::Weighted(WeightedOracle)
+    } else {
+        MetricOracle::Hop(HopOracle)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::bfs;
     use crate::{gen, Graph};
 
     #[test]
     fn hop_oracle_matches_bfs() {
         let g = gen::grid(4, 5);
-        let m = HopOracle.distances(&g.full_view(), NodeId::new(0));
+        let mut ws = TraversalWorkspace::new();
+        let m = HopOracle.distances_in(&g.full_view(), NodeId::new(0), &mut ws);
         let b = bfs(&g.full_view(), [NodeId::new(0)]);
         for v in g.nodes() {
             assert_eq!(m.dist(v), b.dist(v) as f64);
@@ -457,38 +311,23 @@ mod tests {
     #[test]
     fn weighted_oracle_uses_weights() {
         let g = Graph::from_weighted_edges(3, [(0, 1, 2.5), (1, 2, 0.25)]).unwrap();
-        let m = WeightedOracle.distances(&g.full_view(), NodeId::new(0));
+        let mut ws = TraversalWorkspace::new();
+        let m = WeightedOracle.distances_in(&g.full_view(), NodeId::new(0), &mut ws);
         assert_eq!(m.dist(NodeId::new(2)), 2.75);
-        assert!(WeightedOracle.is_weighted_metric());
     }
 
     #[test]
     fn auto_selection() {
         let unweighted = gen::path(4);
         assert_eq!(oracle_for(&unweighted), MetricOracle::Hop(HopOracle));
-        assert_eq!(oracle_for(&unweighted).name(), "hop");
-        // Bounded weight spread: the bucketed backend is preferred.
+        // Bounded and wild weight spreads both get Dijkstra.
         let weighted = Graph::from_weighted_edges(4, [(0, 1, 2.0)]).unwrap();
-        assert!(oracle_for(&weighted).is_weighted_metric());
-        assert_eq!(oracle_for(&weighted).name(), "delta");
-        // Wild spread: fall back to the heap.
+        assert_eq!(
+            oracle_for(&weighted),
+            MetricOracle::Weighted(WeightedOracle)
+        );
         let wild = Graph::from_weighted_edges(3, [(0, 1, 1e-9), (1, 2, 1e9)]).unwrap();
-        assert!(oracle_for(&wild).is_weighted_metric());
-        assert_eq!(oracle_for(&wild).name(), "weighted");
-    }
-
-    #[test]
-    fn delta_variant_matches_weighted_variant() {
-        let g = gen::gnp(30, 0.12, 9);
-        let w = Graph::from_weighted_edges(30, g.edges().map(|(u, v)| (u.index(), v.index(), 1.5)))
-            .unwrap();
-        let auto = oracle_for(&w);
-        assert_eq!(auto.name(), "delta");
-        let a = auto.distances(&w.full_view(), NodeId::new(0));
-        let b = WeightedOracle.distances(&w.full_view(), NodeId::new(0));
-        for v in w.nodes() {
-            assert_eq!(a.dist(v), b.dist(v), "node {v}");
-        }
+        assert_eq!(oracle_for(&wild), MetricOracle::Weighted(WeightedOracle));
     }
 
     #[test]
@@ -497,10 +336,14 @@ mod tests {
         let unit =
             Graph::from_weighted_edges(25, base.edges().map(|(u, v)| (u.index(), v.index(), 1.0)))
                 .unwrap();
-        let hop = HopOracle.distances(&base.full_view(), NodeId::new(0));
-        let w = WeightedOracle.distances(&unit.full_view(), NodeId::new(0));
+        let mut ws = TraversalWorkspace::new();
+        let hop: Vec<f64> = {
+            let m = HopOracle.distances_in(&base.full_view(), NodeId::new(0), &mut ws);
+            base.nodes().map(|v| m.dist(v)).collect()
+        };
+        let w = WeightedOracle.distances_in(&unit.full_view(), NodeId::new(0), &mut ws);
         for v in base.nodes() {
-            assert_eq!(hop.dist(v), w.dist(v), "node {v}");
+            assert_eq!(hop[v.index()], w.dist(v), "node {v}");
         }
     }
 }

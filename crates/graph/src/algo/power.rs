@@ -53,14 +53,6 @@ pub fn power_graph<A: Adjacency>(view: &A, k: u32) -> Graph {
         .expect("power graph construction cannot fail")
 }
 
-/// Convenience: the `k`-th power of a whole graph, preserving identifiers.
-pub fn graph_power(g: &Graph, k: u32) -> Graph {
-    let ids: Vec<u64> = g.nodes().map(|v| g.id_of(v)).collect();
-    power_graph(&g.full_view(), k)
-        .with_ids(ids)
-        .expect("id assignment preserved from a valid graph")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +119,7 @@ mod tests {
     #[test]
     fn power_distances_contract() {
         let g = gen::cycle(12);
-        let g3 = graph_power(&g, 3);
+        let g3 = power_graph(&g.full_view(), 3);
         let d1 = algo::pairwise_distances(&g.full_view());
         let d3 = algo::pairwise_distances(&g3.full_view());
         for u in 0..12 {

@@ -1,9 +1,8 @@
-//! Weighted shortest paths: Dijkstra over the CSR, weighted
-//! eccentricity/diameter, and a Bellman–Ford reference oracle.
+//! Weighted shortest paths: Dijkstra over the CSR and a Bellman–Ford
+//! reference oracle.
 //!
-//! This module mirrors the hop-count API of [`super::bfs`] and
-//! [`super::distance`] for graphs built with
-//! [`GraphBuilder::weighted_edge`](crate::GraphBuilder::weighted_edge).
+//! This module mirrors the hop-count API of [`super::bfs`] for graphs
+//! built with [`GraphBuilder::weighted_edge`](crate::GraphBuilder::weighted_edge).
 //! Weights are finite non-negative `f64`s (enforced at build time), so
 //! every comparison below is total and the traversals are deterministic:
 //! the priority queue breaks distance ties by node index.
@@ -132,44 +131,6 @@ impl DijkstraResult {
     }
 }
 
-/// Weighted eccentricity of `v` within its component of `view`.
-///
-/// Returns `None` if `v` is not in the view.
-pub fn weighted_eccentricity<A: Adjacency>(view: &A, v: NodeId) -> Option<f64> {
-    if !view.contains(v) {
-        return None;
-    }
-    dijkstra(view, [v]).eccentricity()
-}
-
-/// Exact weighted diameter of `view` via an all-pairs Dijkstra sweep.
-///
-/// Cost is `O(n · (n + m) log n)`; intended for validation and the
-/// experiment suite, like [`super::diameter_exact`]. Disconnected views
-/// report the largest distance within any single component.
-pub fn weighted_diameter_exact<A: Adjacency>(view: &A) -> Option<f64> {
-    let mut best: Option<f64> = None;
-    for v in view.nodes() {
-        let e = dijkstra(view, [v]).eccentricity()?;
-        best = Some(best.map_or(e, |b| b.max(e)));
-    }
-    best
-}
-
-/// All-pairs weighted distances (only for small graphs; `O(n^2)`
-/// memory). Unreachable or out-of-view pairs carry [`W_UNREACHED`].
-pub fn weighted_pairwise_distances<A: Adjacency>(view: &A) -> Vec<Vec<f64>> {
-    let n = view.universe();
-    let mut out = vec![vec![W_UNREACHED; n]; n];
-    for v in view.nodes() {
-        let r = dijkstra(view, [v]);
-        for u in view.nodes() {
-            out[v.index()][u.index()] = r.dist(u);
-        }
-    }
-    out
-}
-
 /// Bellman–Ford reference oracle: the same distances as [`dijkstra`],
 /// computed by `O(n)` rounds of edge relaxation.
 ///
@@ -289,18 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_diameter_and_eccentricity() {
-        let g = weighted_path();
-        assert_eq!(weighted_diameter_exact(&g.full_view()), Some(5.5));
-        assert_eq!(
-            weighted_eccentricity(&g.full_view(), NodeId::new(1)),
-            Some(3.5)
-        );
-        let alive = NodeSet::from_nodes(4, [0, 1].map(NodeId::new));
-        assert_eq!(weighted_eccentricity(&g.view(&alive), NodeId::new(3)), None);
-    }
-
-    #[test]
     fn bellman_ford_agrees_on_random_weighted_graphs() {
         for seed in 0..4 {
             let base = gen::gnp(30, 0.12, seed);
@@ -320,19 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_is_symmetric() {
-        let g = Graph::from_weighted_edges(4, [(0, 1, 1.5), (1, 2, 2.5), (0, 2, 5.0), (2, 3, 1.0)])
-            .unwrap();
-        let d = weighted_pairwise_distances(&g.full_view());
-        for (u, row) in d.iter().enumerate() {
-            for (v, &duv) in row.iter().enumerate() {
-                assert_eq!(duv, d[v][u], "pair ({u},{v})");
-            }
-        }
-        assert_eq!(d[0][2], 4.0, "detour through 1 beats the direct edge");
-    }
-
-    #[test]
     fn zero_weights_are_handled() {
         let g = Graph::from_weighted_edges(3, [(0, 1, 0.0), (1, 2, 0.0)]).unwrap();
         let r = dijkstra(&g.full_view(), [NodeId::new(0)]);
@@ -346,6 +282,5 @@ mod tests {
         let r = dijkstra(&g.full_view(), []);
         assert_eq!(r.reached_count(), 0);
         assert_eq!(r.eccentricity(), None);
-        assert_eq!(weighted_diameter_exact(&g.full_view()), None);
     }
 }

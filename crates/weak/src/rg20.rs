@@ -36,7 +36,7 @@
 use sdnd_clustering::{
     BallCarving, Cancelled, CarveCtx, SteinerForest, SteinerTree, WeakCarver, WeakCarving,
 };
-use sdnd_congest::{bits_for_value, RoundLedger};
+use sdnd_congest::RoundLedger;
 use sdnd_graph::{Graph, NodeId, NodeSet};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -44,31 +44,16 @@ use std::collections::HashMap;
 /// One rebuilt Steiner tree: `(label, parent/depth entries, new depth)`.
 type TreeRebuild = (u64, HashMap<u32, (Option<NodeId>, u32)>, u32);
 
-/// Tuning knobs for [`Rg20`].
-#[derive(Debug, Clone, Copy)]
-pub struct Rg20Config {
-    /// Rebuild Steiner trees after each phase with a truncated BFS (the
-    /// GGR21-style depth improvement).
-    pub rebuild_trees: bool,
-    /// Only trees deeper than this are rebuilt (rebuilding is pointless
-    /// for shallow trees and singletons).
-    pub rebuild_depth_threshold: u32,
-}
-
-impl Default for Rg20Config {
-    fn default() -> Self {
-        Rg20Config {
-            rebuild_trees: false,
-            rebuild_depth_threshold: 4,
-        }
-    }
-}
+/// Only trees deeper than this are rebuilt by the GGR21 variant
+/// (rebuilding is pointless for shallow trees and singletons).
+const REBUILD_DEPTH_THRESHOLD: u32 = 4;
 
 /// The RG20 deterministic weak-diameter ball carver (see module docs).
 #[derive(Debug, Clone)]
 pub struct Rg20 {
-    config: Rg20Config,
-    name: &'static str,
+    /// Rebuild Steiner trees after each phase with a truncated BFS (the
+    /// GGR21-style depth improvement).
+    rebuild_trees: bool,
 }
 
 impl Rg20 {
@@ -78,27 +63,14 @@ impl Rg20 {
     #[allow(clippy::self_named_constructors)]
     pub fn rg20() -> Self {
         Rg20 {
-            config: Rg20Config::default(),
-            name: "rg20",
+            rebuild_trees: false,
         }
     }
 
     /// The GGR21-style variant with per-phase tree rebuilding.
     pub fn ggr21() -> Self {
         Rg20 {
-            config: Rg20Config {
-                rebuild_trees: true,
-                ..Rg20Config::default()
-            },
-            name: "ggr21",
-        }
-    }
-
-    /// A custom configuration (named `rg20-custom` in reports).
-    pub fn with_config(config: Rg20Config) -> Self {
-        Rg20 {
-            config,
-            name: "rg20-custom",
+            rebuild_trees: true,
         }
     }
 }
@@ -420,15 +392,13 @@ impl<'g> Run<'g> {
             }
         }
 
-        // Pass 2: swap trees and edge-use counts.
-        let mut max_new_depth = 0u64;
-        let mut rebuild_msgs = 0u64;
-        for (l, entries, depth) in replacements {
-            let old = self.trees.get_mut(&l).expect("tree exists");
-            let old_entries = std::mem::take(&mut old.entries);
-            old.depth = depth;
-            old.dirty = false;
-            for (&vi, &(p, _)) in &old_entries {
+        // Pass 2: swap trees and edge-use counts. The trees are rebuilt
+        // in parallel, so every old edge goes before any new one is
+        // added: the congestion high-water mark must not depend on the
+        // order `labels` came out of the map.
+        for l in &labels {
+            let t = self.trees.get_mut(l).expect("tree exists");
+            for (&vi, &(p, _)) in &std::mem::take(&mut t.entries) {
                 if let Some(p) = p {
                     let key = (vi.min(u32::from(p)), vi.max(u32::from(p)));
                     if let Some(c) = self.edge_use.get_mut(&key) {
@@ -436,6 +406,10 @@ impl<'g> Run<'g> {
                     }
                 }
             }
+        }
+        let mut max_new_depth = 0u64;
+        let mut rebuild_msgs = 0u64;
+        for (l, entries, depth) in replacements {
             rebuild_msgs += entries.len() as u64;
             max_new_depth = max_new_depth.max(depth as u64);
             for (&vi, &(p, _)) in &entries {
@@ -443,7 +417,10 @@ impl<'g> Run<'g> {
                     self.add_tree_edge(NodeId::new(vi as usize), p);
                 }
             }
-            self.trees.get_mut(&l).expect("tree exists").entries = entries;
+            let t = self.trees.get_mut(&l).expect("tree exists");
+            t.entries = entries;
+            t.depth = depth;
+            t.dirty = false;
         }
         // Parallel truncated BFS over all rebuilt clusters, congested.
         ledger.charge_rounds(2 * max_new_depth * self.max_congestion.max(1) as u64);
@@ -551,20 +528,13 @@ impl Rg20 {
         for bit in (0..b).rev() {
             ctx.checkpoint("rg20-bit-phase")?;
             run.phase(bit, eps_p, ledger, ctx)?;
-            if self.config.rebuild_trees {
-                run.rebuild_trees(self.config.rebuild_depth_threshold, ledger, ctx)?;
+            if self.rebuild_trees {
+                run.rebuild_trees(REBUILD_DEPTH_THRESHOLD, ledger, ctx)?;
             }
         }
         let out = run.finish();
         debug_assert!(out.carving().dead_fraction() <= eps + 1e-9);
         Ok(out)
-    }
-
-    /// Measured high-water marks `(max tree depth, congestion)` are
-    /// available post-hoc from the returned forest; this helper exposes
-    /// the theoretical bit budget used for message sizing.
-    pub fn message_bits_for(g: &Graph) -> u32 {
-        2 * bits_for_value(g.n().max(2) as u64 - 1)
     }
 }
 
@@ -591,7 +561,11 @@ impl WeakCarver for Rg20 {
     }
 
     fn name(&self) -> &'static str {
-        self.name
+        if self.rebuild_trees {
+            "ggr21"
+        } else {
+            "rg20"
+        }
     }
 }
 
@@ -719,5 +693,20 @@ mod tests {
         let g = gen::path(4);
         let mut ledger = RoundLedger::new();
         let _ = Rg20::rg20().carve(&g, &NodeSet::full(4), 1.5, &mut ledger);
+    }
+
+    #[test]
+    fn rebuild_rounds_do_not_depend_on_hash_order() {
+        // Each run hashes with fresh keys, so runs visit the rebuilt trees
+        // in different orders; on this graph an order-dependent
+        // congestion high-water mark split the rounds between two values.
+        let g = gen::random_regular_connected(300, 4, 3).unwrap();
+        let rounds = || {
+            let mut ledger = RoundLedger::new();
+            Rg20::ggr21().carve(&g, &NodeSet::full(g.n()), 0.5, &mut ledger);
+            ledger.rounds()
+        };
+        let first = rounds();
+        assert!((1..16).all(|_| rounds() == first));
     }
 }

@@ -10,9 +10,7 @@
 //! the same fallback path every pre-batch validator took.
 
 use proptest::prelude::*;
-use sdnd::graph::algo::{
-    DistanceMap, DistanceMapIn, DistanceOracle, HopOracle, TraversalWorkspace,
-};
+use sdnd::graph::algo::{DistanceMapIn, DistanceOracle, HopOracle, TraversalWorkspace};
 use sdnd::graph::{gen, Adjacency, Graph, NodeId, NodeSet};
 use sdnd_clustering::metrics::{strong_diameter_of_with_in, weak_diameter_of_with_in};
 use sdnd_clustering::{
@@ -23,10 +21,6 @@ use sdnd_clustering::{
 struct PerSourceHop;
 
 impl DistanceOracle for PerSourceHop {
-    fn distances<A: Adjacency>(&self, view: &A, source: NodeId) -> DistanceMap {
-        HopOracle.distances(view, source)
-    }
-
     fn distances_in<'w, A: Adjacency>(
         &self,
         view: &A,
@@ -45,13 +39,7 @@ impl DistanceOracle for PerSourceHop {
     ) -> DistanceMapIn<'w> {
         HopOracle.distances_to_in(view, source, targets, ws)
     }
-    fn is_weighted_metric(&self) -> bool {
-        HopOracle.is_weighted_metric()
-    }
 
-    fn name(&self) -> &'static str {
-        "hop-per-source"
-    }
     // batch_distances_in / batch_distances_to_in: default `None`.
 }
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sdnd::core::{transform, Params};
 use sdnd::prelude::*;
 use sdnd::weak::Rg20;
-use sdnd_graph::algo::{self, DistanceOracle, HopOracle, MetricOracle};
+use sdnd_graph::algo::{self, DistanceOracle, HopOracle, MetricOracle, TraversalWorkspace};
 use sdnd_graph::gen::{self, WeightDist};
 
 /// Strategy: a connected weighted random graph (uniform integer weights
@@ -79,8 +79,10 @@ proptest! {
     fn unit_weighted_oracle_equals_hop_oracle(n in 8usize..50, seed in 0u64..500) {
         let g = gen::gnp_connected(n, 2.5 / n as f64, seed);
         let unit = gen::reweight(&g, WeightDist::Unit, seed).unwrap();
-        let hop = HopOracle.distances(&g.full_view(), NodeId::new(0));
-        let w = algo::WeightedOracle.distances(&unit.full_view(), NodeId::new(0));
+        let mut hop_ws = TraversalWorkspace::new();
+        let mut w_ws = TraversalWorkspace::new();
+        let hop = HopOracle.distances_in(&g.full_view(), NodeId::new(0), &mut hop_ws);
+        let w = algo::WeightedOracle.distances_in(&unit.full_view(), NodeId::new(0), &mut w_ws);
         for v in g.nodes() {
             prop_assert_eq!(hop.dist(v), w.dist(v), "node {}", v);
         }
