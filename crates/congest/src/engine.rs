@@ -1147,10 +1147,11 @@ impl Engine {
         // reclamation.
         let (outcome, conductor) = std::thread::scope(|scope| {
             let mut conductor = conductor;
+            let mut workers = Vec::with_capacity(shards);
             for (shard, (rx, result_tx)) in task_rxs.into_iter().zip(result_txs).enumerate() {
-                scope.spawn(move || {
+                workers.push(scope.spawn(move || {
                     pool_worker(self, g, protocol, alive, layout, shard, rx, result_tx)
-                });
+                }));
             }
 
             let res = (|| {
@@ -1170,9 +1171,15 @@ impl Engine {
                 ledger.charge_rounds(rounds);
                 Ok((rounds, ledger))
             })();
-            // Closing the task channels lets the workers exit; the scope
-            // then joins them before returning.
+            // Closing the task channels lets the workers exit. Each is
+            // joined by hand: the scope alone waits for the worker
+            // closures, not for their OS threads to exit, so a caller
+            // could still count exiting workers after the run returned.
             conductor.task_txs.clear();
+            for w in workers {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            }
             (res, conductor)
         });
 

@@ -31,6 +31,18 @@
 //! Dead nodes: at most `eps/2` from the `log n` invocations of `A` plus
 //! at most `eps/2` from ball boundaries (each boundary is an `eps/2`
 //! fraction of its removed ball, and removed balls are disjoint).
+//!
+//! # Component splitting
+//!
+//! The input and every remainder (Case I: the component minus `A`'s
+//! dead; Case II: minus the ball and its killed shell) are split into
+//! connected components by [`algo::component_sets_in`], which returns
+//! the sets `connected_components(..).into_sets()` would, in the same
+//! order, but stamps its visited marks in the [`CarveCtx`] workspace
+//! instead of labelling all `n` nodes. On large graphs the loop meets
+//! thousands of components of a few nodes each, so every split and every
+//! weak carving must cost what the component touches — `O(|S| +
+//! vol(S))` plus word-level set copies — not `O(n)`.
 
 use crate::Params;
 use sdnd_clustering::{BallCarving, Cancelled, CarveCtx, WeakCarver};
@@ -158,10 +170,7 @@ pub fn weak_to_strong_with_oracle_in<A: WeakCarver + ?Sized>(
 
     let mut out_clusters: Vec<Vec<NodeId>> = Vec::new();
     // Components to process this iteration.
-    let mut work: Vec<NodeSet> = {
-        let view = g.view(alive);
-        algo::connected_components(&view).into_sets()
-    };
+    let mut work: Vec<NodeSet> = algo::component_sets_in(&g.view(alive), &mut ctx.ws);
 
     for i in 1..=max_iter {
         if work.is_empty() {
@@ -260,8 +269,7 @@ fn process_component<A: WeakCarver + ?Sized>(
             remaining.assign(s);
             remaining.subtract(wc.carving().dead());
             if !remaining.is_empty() {
-                let view = g.view(&remaining);
-                next_work.extend(algo::connected_components(&view).into_sets());
+                next_work.extend(algo::component_sets_in(&g.view(&remaining), &mut ctx.ws));
             }
             ctx.ws.give_set(remaining);
         }
@@ -317,8 +325,7 @@ fn process_component<A: WeakCarver + ?Sized>(
                     remaining.remove(v);
                 }
                 if !remaining.is_empty() {
-                    let view = g.view(&remaining);
-                    next_work.extend(algo::connected_components(&view).into_sets());
+                    next_work.extend(algo::component_sets_in(&g.view(&remaining), &mut ctx.ws));
                 }
                 ctx.ws.give_set(remaining);
             }
@@ -430,8 +437,7 @@ fn process_component<A: WeakCarver + ?Sized>(
                 }
                 remaining.subtract(&shell);
                 if !remaining.is_empty() {
-                    let view = g.view(&remaining);
-                    next_work.extend(algo::connected_components(&view).into_sets());
+                    next_work.extend(algo::component_sets_in(&g.view(&remaining), &mut ctx.ws));
                 }
                 ctx.ws.give_set(remaining);
                 ctx.ws.give_set(in_ball);

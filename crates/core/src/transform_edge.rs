@@ -47,7 +47,8 @@ pub fn weak_to_strong_edges<A: WeakEdgeCarver + ?Sized>(
 }
 
 /// [`weak_to_strong_edges`] with a caller-held [`CarveCtx`] (the Case II
-/// layer censuses run through the context's traversal workspace; the
+/// layer censuses and the component splits run through the context's
+/// traversal workspace; the
 /// per-iteration filtered graphs are still materialized, as the cut set
 /// changes the edge structure itself). The armed deadline is honored
 /// once per processed component.
@@ -85,10 +86,7 @@ pub fn weak_to_strong_edges_in<A: WeakEdgeCarver + ?Sized>(
 
     let mut cut: HashSet<(NodeId, NodeId)> = HashSet::new();
     let mut out_clusters: Vec<Vec<NodeId>> = Vec::new();
-    let mut work: Vec<NodeSet> = {
-        let view = g.view(alive);
-        algo::connected_components(&view).into_sets()
-    };
+    let mut work: Vec<NodeSet> = algo::component_sets_in(&g.view(alive), &mut ctx.ws);
 
     for i in 1..=max_iter {
         if work.is_empty() {
@@ -204,13 +202,7 @@ fn process_component<A: WeakEdgeCarver + ?Sized>(
         None => {
             // Case I: recurse on components of the (freshly cut) graph.
             let after = filtered_graph(g, s, cut);
-            let view = after.view(s);
-            next_work.extend(
-                algo::connected_components(&view)
-                    .into_sets()
-                    .into_iter()
-                    .filter(|c| !c.is_empty()),
-            );
+            next_work.extend(algo::component_sets_in(&after.view(s), &mut ctx.ws));
         }
         Some(ci) => {
             // Case II: ball-grow from the giant's root in the working
@@ -279,13 +271,10 @@ fn process_component<A: WeakEdgeCarver + ?Sized>(
             }
             if !remaining.is_empty() {
                 let after2 = filtered_graph(g, &remaining, cut);
-                let view2 = after2.view(&remaining);
-                next_work.extend(
-                    algo::connected_components(&view2)
-                        .into_sets()
-                        .into_iter()
-                        .filter(|c| !c.is_empty()),
-                );
+                next_work.extend(algo::component_sets_in(
+                    &after2.view(&remaining),
+                    &mut ctx.ws,
+                ));
             }
         }
     }

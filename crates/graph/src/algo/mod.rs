@@ -16,7 +16,9 @@ mod weighted;
 mod workspace;
 
 pub use bfs::{bfs, bfs_bounded, BfsResult, UNREACHED};
-pub use components::{component_of, connected_components, is_connected, Components};
+pub use components::{
+    component_of, component_sets_in, connected_components, is_connected, Components,
+};
 pub use dfs::{children_csr, dfs_order_of_tree, TreeOrder};
 pub use distance::{
     diameter_exact, diameter_exact_in, diameter_two_sweep, diameter_two_sweep_in,

@@ -20,8 +20,11 @@
 //! - Pools: [`TraversalWorkspace::take_set`] /
 //!   [`TraversalWorkspace::give_set`] recycle [`NodeSet`]s (cleared, not
 //!   reallocated), [`TraversalWorkspace::take_aux_u32`] /
-//!   [`TraversalWorkspace::give_aux_u32`] recycle plain `u32` buffers.
-//!   Both hand out *owned* values, so a pooled set can be used while a
+//!   [`TraversalWorkspace::give_aux_u32`] recycle plain `u32` buffers,
+//!   and [`TraversalWorkspace::take_zeroed_u32`] /
+//!   [`TraversalWorkspace::give_zeroed_u32`] lend one buffer that is all
+//!   zero between uses (sparse counters reset only what they touched).
+//!   All hand out *owned* values, so a pooled set can be used while a
 //!   run view borrows the workspace.
 //! - Raw arenas: [`TraversalWorkspace::begin_hop`] /
 //!   [`TraversalWorkspace::begin_sp`] expose the stamped arrays
@@ -99,6 +102,7 @@ pub struct TraversalWorkspace {
     pub(super) ms: super::msbfs::MsScratch,
     sets: Vec<NodeSet>,
     aux_u32: Vec<Vec<u32>>,
+    zeroed_u32: Vec<u32>,
 }
 
 fn grow_u32(v: &mut Vec<u32>, n: usize, fill: u32) {
@@ -169,6 +173,26 @@ impl TraversalWorkspace {
     /// Returns a buffer taken with [`take_aux_u32`](Self::take_aux_u32).
     pub fn give_aux_u32(&mut self, buf: Vec<u32>) {
         self.aux_u32.push(buf);
+    }
+
+    /// Takes the all-zero `u32` buffer, grown to at least `len` entries.
+    ///
+    /// The caller must hand it back all zero with
+    /// [`give_zeroed_u32`](Self::give_zeroed_u32), typically by resetting
+    /// only the entries it wrote, so a sparse user of an `O(m)`-sized
+    /// counter array pays for what it touches, not for `m`. A buffer
+    /// that is never given back (an unwinding or cancelled caller) is
+    /// simply dropped; the next take allocates afresh.
+    pub fn take_zeroed_u32(&mut self, len: usize) -> Vec<u32> {
+        let mut buf = std::mem::take(&mut self.zeroed_u32);
+        grow_u32(&mut buf, len, 0);
+        buf
+    }
+
+    /// Returns the buffer taken with
+    /// [`take_zeroed_u32`](Self::take_zeroed_u32); every entry must be 0.
+    pub fn give_zeroed_u32(&mut self, buf: Vec<u32>) {
+        self.zeroed_u32 = buf;
     }
 
     // ---- hop arena --------------------------------------------------
@@ -925,6 +949,11 @@ mod tests {
         b.push(7);
         ws.give_aux_u32(b);
         assert!(ws.take_aux_u32().capacity() >= 1);
+        let z = ws.take_zeroed_u32(5);
+        assert_eq!(z, vec![0; 5]);
+        ws.give_zeroed_u32(z);
+        let z = ws.take_zeroed_u32(9);
+        assert_eq!(z, vec![0; 9], "growing keeps the buffer all zero");
     }
 
     #[test]

@@ -51,6 +51,10 @@ pub struct Graph {
     /// [`reverse_edges`]: Self::reverse_edges
     /// [`with_ids`]: Self::with_ids
     rev: OnceLock<Vec<usize>>,
+    /// Lazily computed [`id_bits`](Self::id_bits); derived from `ids`,
+    /// so it is excluded from equality and serialization and reset by
+    /// [`with_ids`](Self::with_ids).
+    id_bits: OnceLock<u32>,
 }
 
 impl Clone for Graph {
@@ -61,13 +65,15 @@ impl Clone for Graph {
             ids: self.ids.clone(),
             weights: self.weights.clone(),
             rev: self.rev.clone(),
+            id_bits: self.id_bits.clone(),
         }
     }
 }
 
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        // `rev` is a cache of a pure function of the topology: ignore it.
+        // `rev` and `id_bits` are caches of pure functions of the stored
+        // fields: ignore them.
         // Weights (including weightedness itself) are part of identity: a
         // unit-weighted graph is *not* equal to its unweighted twin.
         self.offsets == other.offsets
@@ -109,6 +115,7 @@ impl Deserialize for Graph {
             ids: Vec::from_value(field("ids")?)?,
             weights: v.get("weights").map(Vec::from_value).transpose()?,
             rev: OnceLock::new(),
+            id_bits: OnceLock::new(),
         })
     }
 }
@@ -274,6 +281,7 @@ impl Graph {
             ids,
             weights,
             rev: OnceLock::new(),
+            id_bits: OnceLock::new(),
         }
     }
 
@@ -285,6 +293,7 @@ impl Graph {
             ids: (0..n as u64).collect(),
             weights: None,
             rev: OnceLock::new(),
+            id_bits: OnceLock::new(),
         }
     }
 
@@ -473,9 +482,15 @@ impl Graph {
     }
 
     /// Number of bits needed to write every identifier (at least 1).
+    ///
+    /// Computed once per graph: the RG20 carver asks on every call, and
+    /// a scan of all `n` ids would make a carve of a few nodes cost
+    /// `O(n)`.
     pub fn id_bits(&self) -> u32 {
-        let max = self.ids.iter().copied().max().unwrap_or(0);
-        (64 - max.leading_zeros()).max(1)
+        *self.id_bits.get_or_init(|| {
+            let max = self.ids.iter().copied().max().unwrap_or(0);
+            (64 - max.leading_zeros()).max(1)
+        })
     }
 
     /// Replaces the identifier assignment.
@@ -497,6 +512,7 @@ impl Graph {
             return Err(GraphError::DuplicateId { id: w[0] });
         }
         self.ids = ids;
+        self.id_bits = OnceLock::new();
         Ok(self)
     }
 
@@ -809,6 +825,7 @@ impl CsrScatter {
             ids,
             weights,
             rev: OnceLock::new(),
+            id_bits: OnceLock::new(),
         })
     }
 }

@@ -131,6 +131,56 @@ proptest! {
     }
 }
 
+/// The identifier width by a full scan, the definition
+/// [`Graph::id_bits`] caches.
+fn scanned_id_bits(g: &Graph) -> u32 {
+    let max = g.nodes().map(|v| g.id_of(v)).max().unwrap_or(0);
+    (64 - max.leading_zeros()).max(1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The cached identifier width equals a full scan on every route a
+    /// graph is built by: builder, `with_ids`, `relabeled`, edge-list
+    /// load and `.csrbin` load.
+    #[test]
+    fn id_bits_matches_a_full_scan_on_every_route(
+        g in arb_weighted_graph(),
+        shift in 0u32..40,
+        seed in 0u64..1000,
+    ) {
+        prop_assert_eq!(g.id_bits(), scanned_id_bits(&g));
+        // `with_ids` on a graph whose width was already read (and cloned
+        // along): a stale cache would report the old width.
+        let ids: Vec<u64> = (1..=g.n() as u64).map(|i| i << shift).collect();
+        let wide = g.clone().with_ids(ids).unwrap();
+        prop_assert_eq!(wide.id_bits(), scanned_id_bits(&wide));
+        let narrow = wide.clone().with_ids((0..g.n() as u64).collect()).unwrap();
+        prop_assert_eq!(narrow.id_bits(), scanned_id_bits(&narrow));
+        for order in NodeOrder::ALL {
+            let (gl, _) = wide.relabeled(order);
+            prop_assert_eq!(gl.id_bits(), scanned_id_bits(&gl));
+        }
+
+        let mut body = String::new();
+        for (u, v, w) in g.weighted_edges() {
+            writeln!(body, "{} {} {w}", u.index(), v.index()).unwrap();
+        }
+        let txt = dir().join(format!("id_bits_{seed}_{}.txt", g.n()));
+        std::fs::write(&txt, body.as_bytes()).unwrap();
+        let opts = LoadOptions { nodes: Some(g.n()), ..Default::default() };
+        let loaded = dataset::load_edge_list(&txt, &opts).unwrap();
+        prop_assert_eq!(loaded.id_bits(), scanned_id_bits(&loaded));
+
+        let path = dir().join(format!("id_bits_{seed}_{}.csrbin", g.n()));
+        dataset::write_cache(&path, &wide, None).unwrap();
+        let back = dataset::read_cache(&path, None).unwrap();
+        prop_assert_eq!(back.id_bits(), scanned_id_bits(&back));
+        prop_assert_eq!(back.content_hash(), wide.content_hash());
+    }
+}
+
 /// Every single-bit flip and every truncation of a cache file must be
 /// rejected — as `Cache` (corrupt) or `Stale` (version byte) — and
 /// must never panic or produce a graph. The CRC32 catches all

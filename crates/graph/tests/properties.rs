@@ -1,6 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use proptest::prelude::*;
+use sdnd_graph::algo::TraversalWorkspace;
 use sdnd_graph::{algo, gen, Adjacency, Graph, NodeId, NodeSet};
 
 /// Strategy: a random simple graph as an edge list over `n` nodes.
@@ -171,6 +172,25 @@ proptest! {
         let json = serde_json::to_string(&set).expect("serializable");
         let back: NodeSet = serde_json::from_str(&json).expect("deserializable");
         prop_assert_eq!(back, set);
+    }
+
+    #[test]
+    fn stamped_component_split_matches_connected_components(
+        g in arb_graph(),
+        mask in prop::collection::vec(prop::bool::ANY, 40),
+    ) {
+        let alive = NodeSet::from_nodes(g.n(), g.nodes().filter(|v| mask[v.index()]));
+        let mut ws = TraversalWorkspace::new();
+        for s in [&alive, &NodeSet::full(g.n())] {
+            let view = g.view(s);
+            let expected = algo::connected_components(&view).into_sets();
+            // Same sets in the same order, and again on the reused
+            // workspace: the second split must not see the first one's
+            // stamps, nor a traversal run in between.
+            prop_assert_eq!(&algo::component_sets_in(&view, &mut ws), &expected);
+            let _ = algo::bfs_in(&mut ws, &g.full_view(), [NodeId::new(0)]);
+            prop_assert_eq!(&algo::component_sets_in(&view, &mut ws), &expected);
+        }
     }
 }
 

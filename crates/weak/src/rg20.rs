@@ -32,21 +32,49 @@
 //! agree on the processed bits, and the phase-end guarantee (no blue–red
 //! adjacency) extends the agreement to the current bit. After the last
 //! phase, adjacent nodes agree on every bit — i.e. they share a label.
+//!
+//! # State layout and cost
+//!
+//! A cluster's label is always its root's identifier, so a run on the
+//! alive set `S` numbers its clusters by **slot**: the position of the
+//! root in `S`'s index order. All state is dense:
+//!
+//! - per slot: the label and the tree (its non-root `(node, parent)`
+//!   entries, its helpers' depths, member count, depth, and a dirty flag
+//!   for the rebuild);
+//! - per node: the slot of its cluster, its depth in that cluster's
+//!   tree, and a rebuild-prune stamp, in `u32` buffers lent by the
+//!   [`CarveCtx`] workspace and written only at the nodes of `S`;
+//! - per edge: the number of trees using it (the congestion), in the
+//!   workspace's all-zero buffer indexed by directed-edge slot; the run
+//!   resets only the entries it raised.
+//!
+//! The one lookup that is neither by slot nor by node — is a joining
+//! node already a helper in its new cluster's tree, and at what depth —
+//! goes to that tree's helper map, keyed by node with a one-multiply
+//! integer hash. A rebuild replaces the map with the new tree's helpers.
+//!
+//! So a call pays for `S` and its edges: `O(|S|)` to set up and per bit
+//! phase, plus the volume of each growth step's candidates and each
+//! rebuild's truncated BFS. What remains proportional to the whole graph
+//! is word-level work: the alive-set copies (`n / 64` words) and the
+//! node-indexed cluster map of the returned [`BallCarving`].
 
 use sdnd_clustering::{
     BallCarving, Cancelled, CarveCtx, SteinerForest, SteinerTree, WeakCarver, WeakCarving,
 };
 use sdnd_congest::RoundLedger;
+use sdnd_graph::algo::TraversalWorkspace;
 use sdnd_graph::{Graph, NodeId, NodeSet};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-/// One rebuilt Steiner tree: `(label, parent/depth entries, new depth)`.
-type TreeRebuild = (u64, HashMap<u32, (Option<NodeId>, u32)>, u32);
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Only trees deeper than this are rebuilt by the GGR21 variant
 /// (rebuilding is pointless for shallow trees and singletons).
 const REBUILD_DEPTH_THRESHOLD: u32 = 4;
+
+/// "Not listed" marker in per-slot position arrays.
+const NO_SLOT: u32 = u32::MAX;
 
 /// The RG20 deterministic weak-diameter ball carver (see module docs).
 #[derive(Debug, Clone)]
@@ -81,13 +109,19 @@ impl Default for Rg20 {
     }
 }
 
-/// Per-cluster bookkeeping during the run.
-struct TreeData {
-    root: NodeId,
-    /// node index → (parent edge if non-root, depth in tree).
-    entries: HashMap<u32, (Option<NodeId>, u32)>,
+/// Per-cluster bookkeeping during the run, stored in the slot of the
+/// cluster's root.
+#[derive(Default)]
+struct Tree {
+    /// Every tree node but the root, with its parent. A node appears at
+    /// most once: a join reuses an existing entry instead of adding one.
+    edges: Vec<(NodeId, NodeId)>,
+    /// Depth of every alive tree node that is not a member (a helper),
+    /// by node index. Entries of nodes that died may linger; they are
+    /// never read.
+    helpers: HashMap<u32, u32, BuildHasherDefault<NodeHasher>>,
     /// Current number of members (terminals).
-    members: u64,
+    members: u32,
     /// Deepest entry.
     depth: u32,
     /// Whether the tree or its member set changed since the last
@@ -97,100 +131,165 @@ struct TreeData {
     dirty: bool,
 }
 
-impl TreeData {
-    fn singleton(root: NodeId) -> Self {
-        let mut entries = HashMap::new();
-        entries.insert(u32::from(root), (None, 0));
-        TreeData {
-            root,
-            entries,
-            members: 1,
-            depth: 0,
-            dirty: true,
-        }
+impl Tree {
+    /// Number of tree nodes, root included.
+    fn len(&self) -> usize {
+        self.edges.len() + 1
     }
+}
+
+/// Hashes the node-index keys of the helper maps with one multiply,
+/// folded so the high product bits reach the low bits the table indexes
+/// by. The keys are run-local integers, not attacker-chosen, so
+/// SipHash's flooding resistance buys nothing here.
+#[derive(Default)]
+struct NodeHasher(u64);
+
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("helper keys are hashed with write_u32")
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        let h = u64::from(x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// Takes a pooled per-node `u32` buffer of at least `n` entries
+/// (contents unspecified).
+fn take_node_buf(ws: &mut TraversalWorkspace, n: usize) -> Vec<u32> {
+    let mut buf = ws.take_aux_u32();
+    if buf.len() < n {
+        buf.resize(n, 0);
+    }
+    buf
 }
 
 struct Run<'g> {
     g: &'g Graph,
     input: NodeSet,
     alive: NodeSet,
-    /// Current label per node (valid only for input nodes).
-    label: Vec<u64>,
-    trees: HashMap<u64, TreeData>,
-    /// Edge congestion tracker: normalized edge → #trees using it.
-    edge_use: HashMap<(u32, u32), u32>,
+    /// The input nodes in index order; slot `i` is the cluster (and
+    /// tree) rooted at `nodes[i]`.
+    nodes: Vec<NodeId>,
+    /// Label of each slot: its root's identifier.
+    slot_label: Vec<u64>,
+    trees: Vec<Tree>,
+    /// Per node (pooled, indexed by node; valid for input nodes): the
+    /// slot of its current cluster.
+    cluster: Vec<u32>,
+    /// Per node (pooled; valid for alive nodes): its depth in its own
+    /// cluster's tree.
+    depth: Vec<u32>,
+    /// Per node (pooled; zeroed on the input nodes): the prune stamp of
+    /// the tree rebuild that last reached it.
+    mark: Vec<u32>,
+    /// Last stamp handed out to a tree rebuild.
+    stamp: u32,
+    /// Edge congestion: number of trees using each edge, indexed by the
+    /// directed-edge slot of its `low -> high` orientation (pooled, all
+    /// zero between runs).
+    edge_use: Vec<u32>,
+    /// Every `edge_use` slot this run raised from 0 (some repeat), so
+    /// `finish` can hand the buffer back all zero.
+    used_edges: Vec<u32>,
     max_congestion: u32,
     max_depth: u32,
     id_bits: u32,
 }
 
 impl<'g> Run<'g> {
-    fn new(g: &'g Graph, alive0: &NodeSet) -> Self {
-        let mut label = vec![0u64; g.n()];
-        let mut trees = HashMap::with_capacity(alive0.len());
-        for v in alive0.iter() {
-            let id = g.id_of(v);
-            label[v.index()] = id;
-            trees.insert(id, TreeData::singleton(v));
+    fn new(g: &'g Graph, alive0: &NodeSet, ws: &mut TraversalWorkspace) -> Self {
+        let nodes: Vec<NodeId> = alive0.iter().collect();
+        let k = nodes.len();
+        let mut cluster = take_node_buf(ws, g.n());
+        let mut depth = take_node_buf(ws, g.n());
+        let mut mark = take_node_buf(ws, g.n());
+        for (slot, &v) in nodes.iter().enumerate() {
+            cluster[v.index()] = slot as u32;
+            depth[v.index()] = 0;
+            mark[v.index()] = 0;
         }
+        let mut alive = ws.take_set(g.n());
+        alive.assign(alive0);
         Run {
             g,
             input: alive0.clone(),
-            alive: alive0.clone(),
-            label,
-            trees,
-            edge_use: HashMap::new(),
+            alive,
+            slot_label: nodes.iter().map(|&v| g.id_of(v)).collect(),
+            trees: (0..k)
+                .map(|_| Tree {
+                    members: 1,
+                    dirty: true,
+                    ..Tree::default()
+                })
+                .collect(),
+            nodes,
+            cluster,
+            depth,
+            mark,
+            stamp: 0,
+            edge_use: ws.take_zeroed_u32(g.directed_edges()),
+            used_edges: Vec::new(),
             max_congestion: 0,
             max_depth: 0,
             id_bits: g.id_bits(),
         }
     }
 
+    /// Label of `v`'s current cluster.
+    fn label(&self, v: NodeId) -> u64 {
+        self.slot_label[self.cluster[v.index()] as usize]
+    }
+
     fn is_red(&self, v: NodeId, bit: u32) -> bool {
-        self.label[v.index()] >> bit & 1 == 1
+        self.label(v) >> bit & 1 == 1
+    }
+
+    /// The `edge_use` index of tree edge `{v, p}`: the directed-edge
+    /// slot of its `low -> high` orientation.
+    fn edge_slot(&self, v: NodeId, p: NodeId) -> usize {
+        self.g
+            .directed_edge(v.min(p), v.max(p))
+            .expect("tree edges are graph edges")
     }
 
     fn add_tree_edge(&mut self, v: NodeId, p: NodeId) {
-        let (a, b) = (
-            u32::from(v).min(u32::from(p)),
-            u32::from(v).max(u32::from(p)),
-        );
-        let c = self.edge_use.entry((a, b)).or_insert(0);
+        let e = self.edge_slot(v, p);
+        let c = &mut self.edge_use[e];
+        if *c == 0 {
+            self.used_edges.push(e as u32);
+        }
         *c += 1;
         self.max_congestion = self.max_congestion.max(*c);
     }
 
     /// Collects the requests of one step: for every alive blue node in
     /// `candidates` adjacent to an alive red member, the chosen target
-    /// `(label, gateway neighbor)`.
-    fn collect_requests(
-        &self,
-        bit: u32,
-        candidates: impl Iterator<Item = NodeId>,
-    ) -> Vec<(NodeId, u64, NodeId)> {
+    /// `(requester, target slot, gateway neighbor)`.
+    fn collect_requests(&self, bit: u32, candidates: &[NodeId]) -> Vec<(NodeId, u32, NodeId)> {
         let mut requests = Vec::new();
-        for v in candidates {
+        for &v in candidates {
             if !self.alive.contains(v) || self.is_red(v, bit) {
                 continue;
             }
             let mut best: Option<(u64, NodeId)> = None;
-            for w in self.g.neighbors(v) {
-                if !self.alive.contains(*w) || !self.is_red(*w, bit) {
+            for &w in self.g.neighbors(v) {
+                if !self.alive.contains(w) || !self.is_red(w, bit) {
                     continue;
                 }
-                let lw = self.label[w.index()];
-                match best {
-                    None => best = Some((lw, *w)),
-                    Some((bl, bw)) => {
-                        if (lw, *w) < (bl, bw) {
-                            best = Some((lw, *w));
-                        }
-                    }
+                let lw = self.label(w);
+                if best.is_none_or(|b| (lw, w) < b) {
+                    best = Some((lw, w));
                 }
             }
-            if let Some((l, w)) = best {
-                requests.push((v, l, w));
+            if let Some((_, w)) = best {
+                requests.push((v, self.cluster[w.index()], w));
             }
         }
         requests
@@ -212,60 +311,59 @@ impl<'g> Run<'g> {
         let mut steps = 0u64;
         // First step scans every alive node; later steps only nodes
         // exposed by the previous step's joins.
-        let mut candidates: Vec<NodeId> = self.alive.iter().collect();
+        let mut candidates: Vec<NodeId> = self
+            .nodes
+            .iter()
+            .copied()
+            .filter(|&v| self.alive.contains(v))
+            .collect();
         let step_cap = 16 * (self.alive.len() as u64 + 4) * (self.id_bits as u64 + 1);
 
         loop {
             ctx.checkpoint("rg20-growth-step")?;
-            let requests = self.collect_requests(bit, candidates.iter().copied());
+            let mut requests = self.collect_requests(bit, &candidates);
             if requests.is_empty() {
                 break;
             }
             steps += 1;
             assert!(steps <= step_cap, "RG20 phase failed to terminate");
 
-            // Group requests by target label.
-            let mut by_label: HashMap<u64, Vec<(NodeId, NodeId)>> = HashMap::new();
-            for (v, l, w) in requests {
-                by_label.entry(l).or_default().push((v, w));
-            }
+            // Group requests by target label, labels ascending and each
+            // group's requesters in index order.
+            requests.sort_unstable_by_key(|&(v, slot, _)| (self.slot_label[slot as usize], v));
+            let groups = || requests.chunk_by(|a, b| a.1 == b.1);
 
             // Cost of the step: one request round, one converge-cast and
             // one decision broadcast over the requested trees (depth x
             // congestion, the paper's costing), one label-announce round.
             let b = self.id_bits;
-            let mut tree_msgs = 0u64;
-            let mut request_count = 0u64;
-            for (l, reqs) in &by_label {
-                request_count += reqs.len() as u64;
-                tree_msgs += 2 * self.trees[l].entries.len() as u64;
-            }
+            let tree_msgs: u64 = groups()
+                .map(|reqs| 2 * self.trees[reqs[0].1 as usize].len() as u64)
+                .sum();
             ledger.charge_rounds(2);
             ledger.charge_rounds(
                 2 * self.max_depth.max(1) as u64 * self.max_congestion.max(1) as u64,
             );
-            ledger.record_messages(request_count, 2 * b);
+            ledger.record_messages(requests.len() as u64, 2 * b);
             ledger.record_messages(tree_msgs, 2 * b);
 
             // Decisions and applications.
             let mut exposed: Vec<NodeId> = Vec::new();
-            let mut labels: Vec<u64> = by_label.keys().copied().collect();
-            labels.sort_unstable();
-            for l in labels {
-                let reqs = &by_label[&l];
-                let cluster_size = self.trees[&l].members;
+            for reqs in groups() {
+                let slot = reqs[0].1;
+                let cluster_size = self.trees[slot as usize].members;
                 let accept = reqs.len() as f64 >= eps_p * cluster_size as f64;
                 if accept {
-                    for &(v, w) in reqs {
-                        self.join(v, l, w);
+                    for &(v, _, w) in reqs {
+                        self.join(v, slot, w);
                         exposed.push(v);
                     }
                     // Announce the new labels (one round, already charged;
                     // messages to each neighbor).
-                    let announce: u64 = reqs.iter().map(|&(v, _)| self.g.degree(v) as u64).sum();
+                    let announce: u64 = reqs.iter().map(|&(v, _, _)| self.g.degree(v) as u64).sum();
                     ledger.record_messages(announce, b);
                 } else {
-                    for &(v, _) in reqs {
+                    for &(v, _, _) in reqs {
                         self.kill(v);
                     }
                 }
@@ -274,9 +372,7 @@ impl<'g> Run<'g> {
             // Next step's candidates: neighbors of newly joined nodes.
             let mut next: Vec<NodeId> = Vec::new();
             for &v in &exposed {
-                for w in self.g.neighbors(v) {
-                    next.push(*w);
-                }
+                next.extend_from_slice(self.g.neighbors(v));
             }
             next.sort_unstable();
             next.dedup();
@@ -285,41 +381,42 @@ impl<'g> Run<'g> {
         Ok(steps)
     }
 
-    /// Moves `v` into the cluster labelled `l` via gateway `w`.
-    fn join(&mut self, v: NodeId, l: u64, w: NodeId) {
-        let old = self.label[v.index()];
-        debug_assert_ne!(old, l);
-        if let Some(t) = self.trees.get_mut(&old) {
-            t.members -= 1;
-            t.dirty = true;
-            // v stays in the old tree as a helper.
-        }
-        self.label[v.index()] = l;
-        let w_depth = self.trees[&l].entries[&u32::from(w)].1;
-        let t = self.trees.get_mut(&l).expect("target cluster exists");
+    /// Moves `v` into the cluster of `slot` via gateway `w`.
+    fn join(&mut self, v: NodeId, slot: u32, w: NodeId) {
+        let old = self.cluster[v.index()];
+        debug_assert_ne!(old, slot);
+        debug_assert!(
+            self.alive.contains(w) && self.cluster[w.index()] == slot,
+            "the gateway is a member of the target cluster"
+        );
+        let t = &mut self.trees[old as usize];
+        t.members -= 1;
+        t.dirty = true;
+        // v stays in the old tree as a helper.
+        t.helpers.insert(u32::from(v), self.depth[v.index()]);
+        self.cluster[v.index()] = slot;
+        let t = &mut self.trees[slot as usize];
         t.members += 1;
         t.dirty = true;
-        if let Entry::Vacant(entry) = t.entries.entry(u32::from(v)) {
-            let d = w_depth + 1;
-            entry.insert((Some(w), d));
-            if d > t.depth {
-                t.depth = d;
-            }
-            let new_depth = t.depth;
-            self.max_depth = self.max_depth.max(new_depth);
+        if let Some(d) = t.helpers.remove(&u32::from(v)) {
+            // v was already a helper in this tree: its old attachment is
+            // reused — no new edge, no depth change.
+            self.depth[v.index()] = d;
+        } else {
+            let d = self.depth[w.index()] + 1;
+            t.edges.push((v, w));
+            t.depth = t.depth.max(d);
+            self.max_depth = self.max_depth.max(t.depth);
+            self.depth[v.index()] = d;
             self.add_tree_edge(v, w);
         }
-        // If v was already a helper in l's tree, its old attachment is
-        // reused — no new edge, no depth change.
     }
 
     /// Kills `v` (declined requester). It stays a helper in its tree.
     fn kill(&mut self, v: NodeId) {
-        let old = self.label[v.index()];
-        if let Some(t) = self.trees.get_mut(&old) {
-            t.members -= 1;
-            t.dirty = true;
-        }
+        let t = &mut self.trees[self.cluster[v.index()] as usize];
+        t.members -= 1;
+        t.dirty = true;
         self.alive.remove(v);
     }
 
@@ -332,34 +429,37 @@ impl<'g> Run<'g> {
         ledger: &mut RoundLedger,
         ctx: &mut CarveCtx,
     ) -> Result<(), Cancelled> {
-        let labels: Vec<u64> = self
-            .trees
-            .iter()
-            .filter(|(_, t)| t.dirty && t.members >= 2 && t.depth > threshold)
-            .map(|(&l, _)| l)
+        let slots: Vec<u32> = (0..self.trees.len() as u32)
+            .filter(|&s| {
+                let t = &self.trees[s as usize];
+                t.dirty && t.members >= 2 && t.depth > threshold
+            })
             .collect();
-        if labels.is_empty() {
+        if slots.is_empty() {
             return Ok(());
         }
-        // One pass over the alive set groups the members of every
-        // rebuilt label (instead of one O(n) scan per label).
-        let mut members_of: HashMap<u64, Vec<NodeId>> = HashMap::with_capacity(labels.len());
-        for &l in &labels {
-            members_of.insert(l, Vec::new());
+        // One pass over the input groups the members of every rebuilt
+        // slot (instead of one scan per slot).
+        let mut pos = vec![NO_SLOT; self.trees.len()];
+        for (i, &s) in slots.iter().enumerate() {
+            pos[s as usize] = i as u32;
         }
-        for v in self.alive.iter() {
-            if let Some(ms) = members_of.get_mut(&self.label[v.index()]) {
-                ms.push(v);
+        let mut members_of: Vec<Vec<NodeId>> = vec![Vec::new(); slots.len()];
+        for &v in &self.nodes {
+            let i = pos[self.cluster[v.index()] as usize];
+            if i != NO_SLOT && self.alive.contains(v) {
+                members_of[i as usize].push(v);
             }
         }
-        // Pass 1: compute the replacement trees (immutable borrows only).
-        let mut replacements: Vec<TreeRebuild> = Vec::new();
+
+        // Pass 1: compute the replacement trees and their helpers.
+        let mut replacements = Vec::with_capacity(slots.len());
         {
             let view = self.g.view(&self.input);
-            for &l in &labels {
+            for (&slot, members) in slots.iter().zip(&members_of) {
                 ctx.checkpoint("rg20-tree-rebuild")?;
-                let root = self.trees[&l].root;
-                let members = &members_of[&l];
+                let root = self.nodes[slot as usize];
+                let old = &self.trees[slot as usize];
                 let mut scratch = RoundLedger::new();
                 // Every member is a terminal of the old tree, whose
                 // root-to-member paths are real edges in the input view,
@@ -370,55 +470,60 @@ impl<'g> Run<'g> {
                 let bfs = sdnd_congest::primitives::bfs_in(
                     &view,
                     [root],
-                    self.trees[&l].depth,
+                    old.depth,
                     &mut scratch,
                     &mut ctx.ws,
                 );
-                // Prune to the union of root-to-member paths.
-                let mut entries: HashMap<u32, (Option<NodeId>, u32)> = HashMap::new();
-                entries.insert(u32::from(root), (None, 0));
+                // Prune to the union of root-to-member paths. The root
+                // stays in the tree even if it left the cluster.
+                self.stamp += 1;
+                self.mark[root.index()] = self.stamp;
+                let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+                let mut helpers = HashMap::default();
+                if self.cluster[root.index()] != slot && self.alive.contains(root) {
+                    helpers.insert(u32::from(root), 0);
+                }
                 let mut depth = 0u32;
                 for &m in members {
                     debug_assert!(bfs.reached(m), "member must be reachable from root");
                     depth = depth.max(bfs.dist(m));
+                    self.depth[m.index()] = bfs.dist(m);
                     let mut cur = m;
-                    while !entries.contains_key(&u32::from(cur)) {
+                    while self.mark[cur.index()] != self.stamp {
+                        self.mark[cur.index()] = self.stamp;
                         let p = bfs.parent(cur).expect("non-root reached node has parent");
-                        entries.insert(u32::from(cur), (Some(p), bfs.dist(cur)));
+                        edges.push((cur, p));
+                        if self.cluster[cur.index()] != slot && self.alive.contains(cur) {
+                            helpers.insert(u32::from(cur), bfs.dist(cur));
+                        }
                         cur = p;
                     }
                 }
-                replacements.push((l, entries, depth));
+                replacements.push((slot, edges, helpers, depth));
             }
         }
 
         // Pass 2: swap trees and edge-use counts. The trees are rebuilt
         // in parallel, so every old edge goes before any new one is
         // added: the congestion high-water mark must not depend on the
-        // order `labels` came out of the map.
-        for l in &labels {
-            let t = self.trees.get_mut(l).expect("tree exists");
-            for (&vi, &(p, _)) in &std::mem::take(&mut t.entries) {
-                if let Some(p) = p {
-                    let key = (vi.min(u32::from(p)), vi.max(u32::from(p)));
-                    if let Some(c) = self.edge_use.get_mut(&key) {
-                        *c -= 1;
-                    }
-                }
+        // order the trees are visited in.
+        for &slot in &slots {
+            for (v, p) in std::mem::take(&mut self.trees[slot as usize].edges) {
+                let e = self.edge_slot(v, p);
+                self.edge_use[e] -= 1;
             }
         }
         let mut max_new_depth = 0u64;
         let mut rebuild_msgs = 0u64;
-        for (l, entries, depth) in replacements {
-            rebuild_msgs += entries.len() as u64;
+        for (slot, edges, helpers, depth) in replacements {
+            rebuild_msgs += edges.len() as u64 + 1;
             max_new_depth = max_new_depth.max(depth as u64);
-            for (&vi, &(p, _)) in &entries {
-                if let Some(p) = p {
-                    self.add_tree_edge(NodeId::new(vi as usize), p);
-                }
+            for &(v, p) in &edges {
+                self.add_tree_edge(v, p);
             }
-            let t = self.trees.get_mut(&l).expect("tree exists");
-            t.entries = entries;
+            let t = &mut self.trees[slot as usize];
+            t.edges = edges;
+            t.helpers = helpers;
             t.depth = depth;
             t.dirty = false;
         }
@@ -428,7 +533,7 @@ impl<'g> Run<'g> {
         // Depth high-water mark resets to the current maximum.
         self.max_depth = self
             .trees
-            .values()
+            .iter()
             .filter(|t| t.members > 0)
             .map(|t| t.depth)
             .max()
@@ -436,36 +541,38 @@ impl<'g> Run<'g> {
         Ok(())
     }
 
-    /// Final clusters and forest.
-    fn finish(self) -> WeakCarving {
-        let mut clusters_by_label: HashMap<u64, Vec<NodeId>> = HashMap::new();
-        for v in self.alive.iter() {
-            clusters_by_label
-                .entry(self.label[v.index()])
-                .or_default()
-                .push(v);
-        }
-        let mut labels: Vec<u64> = clusters_by_label.keys().copied().collect();
-        labels.sort_unstable();
-
-        let mut clusters = Vec::with_capacity(labels.len());
-        let mut trees = Vec::with_capacity(labels.len());
-        for l in labels {
-            let members = clusters_by_label.remove(&l).expect("label present");
-            let data = &self.trees[&l];
-            let mut tree = SteinerTree::singleton(data.root);
-            let mut pairs: Vec<(u32, NodeId)> = data
-                .entries
-                .iter()
-                .filter_map(|(&vi, &(p, _))| p.map(|p| (vi, p)))
-                .collect();
+    /// Final clusters and forest; hands the pooled buffers back to `ws`.
+    fn finish(mut self, ws: &mut TraversalWorkspace) -> WeakCarving {
+        // Clusters in label order, each with its members in index order
+        // and its tree's (node, parent) pairs sorted by node.
+        let mut slots: Vec<u32> = (0..self.trees.len() as u32)
+            .filter(|&s| self.trees[s as usize].members > 0)
+            .collect();
+        slots.sort_unstable_by_key(|&s| self.slot_label[s as usize]);
+        let mut pos = vec![NO_SLOT; self.trees.len()];
+        let mut clusters: Vec<Vec<NodeId>> = Vec::with_capacity(slots.len());
+        let mut trees = Vec::with_capacity(slots.len());
+        for (i, &s) in slots.iter().enumerate() {
+            pos[s as usize] = i as u32;
+            let t = &mut self.trees[s as usize];
+            clusters.push(Vec::with_capacity(t.members as usize));
+            let mut pairs = std::mem::take(&mut t.edges);
             pairs.sort_unstable();
-            for (vi, p) in pairs {
-                tree.attach(NodeId::new(vi as usize), p);
-            }
-            clusters.push(members);
-            trees.push(tree);
+            trees.push(SteinerTree::from_parents(self.nodes[s as usize], pairs));
         }
+        for &v in &self.nodes {
+            if self.alive.contains(v) {
+                clusters[pos[self.cluster[v.index()] as usize] as usize].push(v);
+            }
+        }
+        for &e in &self.used_edges {
+            self.edge_use[e as usize] = 0;
+        }
+        ws.give_zeroed_u32(self.edge_use);
+        ws.give_aux_u32(self.cluster);
+        ws.give_aux_u32(self.depth);
+        ws.give_aux_u32(self.mark);
+        ws.give_set(self.alive);
         let carving =
             BallCarving::new(self.input, clusters).expect("label classes partition the alive set");
         WeakCarving::new(carving, SteinerForest::from_trees(trees))
@@ -522,7 +629,7 @@ impl Rg20 {
             let carving = BallCarving::new(alive.clone(), vec![]).expect("empty carving");
             return Ok(WeakCarving::new(carving, SteinerForest::new()).expect("empty forest"));
         }
-        let mut run = Run::new(g, alive);
+        let mut run = Run::new(g, alive, &mut ctx.ws);
         let b = run.id_bits;
         let eps_p = eps / b as f64;
         for bit in (0..b).rev() {
@@ -532,7 +639,7 @@ impl Rg20 {
                 run.rebuild_trees(REBUILD_DEPTH_THRESHOLD, ledger, ctx)?;
             }
         }
-        let out = run.finish();
+        let out = run.finish(&mut ctx.ws);
         debug_assert!(out.carving().dead_fraction() <= eps + 1e-9);
         Ok(out)
     }
